@@ -152,6 +152,33 @@ fn bench_storage(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
+    // One GC tick on one `read_mostly` partition: 250k single-version
+    // keys plus 256 keys written since the last pass (3 versions each).
+    // The off-clock setup re-writes the 256 hot keys, so every timed
+    // `collect` starts from that same shape (rebuilding 250k chains per
+    // iteration would make the setup dominate the run).
+    c.bench_function("store_collect_sparse", |b| {
+        const COLD: u64 = 250_000;
+        const HOT: u64 = 256;
+        let store = std::cell::RefCell::new(MvStore::<Key, WrenVersion>::new());
+        for k in 0..COLD + HOT {
+            store.borrow_mut().insert(Key(k), sample_version(1));
+        }
+        let mut ct = 1u64;
+        b.iter_batched(
+            || {
+                let mut s = store.borrow_mut();
+                for k in COLD..COLD + HOT {
+                    s.insert(Key(k), sample_version(ct + 1));
+                    s.insert(Key(k), sample_version(ct + 2));
+                }
+                ct += 2;
+                SnapshotBound::at_most(Timestamp::from_micros(ct))
+            },
+            |bound| black_box(store.borrow_mut().collect(&bound)),
+            BatchSize::SmallInput,
+        )
+    });
 }
 
 /// Sharded-vs-flat: the striped store must read and insert at flat-map

@@ -112,6 +112,12 @@ pub struct ServerMetrics {
     pub wal_group_commit_size: Histogram,
     /// Checkpoint encode + rotate duration in µs.
     pub checkpoint_micros: Histogram,
+    /// Wall time of one GC tick's store `collect` pass, in µs.
+    pub gc_pass_micros: Histogram,
+    /// Chains visited by GC passes (the multi-version candidates).
+    pub gc_chains_visited: Counter,
+    /// Versions removed by GC passes.
+    pub gc_versions_removed: Counter,
     /// Transactions per shipped replication batch.
     pub replication_batch_txs: Histogram,
     /// Remote batch age at apply (now − batch ct) in µs.
@@ -146,6 +152,9 @@ impl ServerMetrics {
             wal_append_bytes: registry.histogram("wal_append_bytes"),
             wal_group_commit_size: registry.histogram("wal_group_commit_size"),
             checkpoint_micros: registry.histogram("checkpoint_micros"),
+            gc_pass_micros: registry.histogram("gc_pass_micros"),
+            gc_chains_visited: registry.counter("gc_chains_visited"),
+            gc_versions_removed: registry.counter("gc_versions_removed"),
             replication_batch_txs: registry.histogram("replication_batch_txs"),
             replication_lag_micros: registry.histogram("replication_lag_micros"),
             visibility_lag_local_micros: registry.histogram("visibility_lag_local_micros"),

@@ -1270,7 +1270,15 @@ impl WrenServer {
             return 0;
         }
         let oldest = SnapshotBound::bist(self.id.dc.0, w_lt, w_rt);
+        // The pass visits exactly the store's GC candidates.
+        let visited = self.store.stats().gc_candidates;
+        let start = std::time::Instant::now();
         let removed = self.store.collect(&oldest);
+        self.metrics
+            .gc_pass_micros
+            .record(start.elapsed().as_micros() as u64);
+        self.metrics.gc_chains_visited.add(visited as u64);
+        self.metrics.gc_versions_removed.add(removed as u64);
         self.stats.gc_versions_removed += removed as u64;
         removed
     }

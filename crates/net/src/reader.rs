@@ -52,7 +52,13 @@ impl FramedReader {
             if let Some(payload) = self.decoder.next_frame()? {
                 return Ok(Some(payload));
             }
-            let n = self.stream.read(&mut self.buf)?;
+            let n = match self.stream.read(&mut self.buf) {
+                Ok(n) => n,
+                // A signal landed before any byte was read: retry, as
+                // `read_exact` does. Surfacing it would kill a live link.
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e.into()),
+            };
             if n == 0 {
                 return if self.decoder.has_partial() {
                     Err(NetError::TruncatedFrame)

@@ -243,24 +243,17 @@ impl<K: Eq + Hash + Clone, V: Versioned + Clone> ConcurrentShardedStore<K, V> {
         applied
     }
 
-    /// Runs garbage collection over every stripe, write-locking one
+    /// Runs garbage collection stripe by stripe, write-locking one
     /// stripe at a time (readers of other stripes are never stalled).
-    /// Returns the number of versions removed.
+    /// Each stripe visits only its GC candidates — the chains holding
+    /// ≥ 2 versions (see [`MvStore::collect`]) — so a stripe's lock is
+    /// held for time proportional to the keys written since the last
+    /// pass, not the keys stored. Returns the number of versions removed.
     pub fn collect(&self, oldest_snapshot: &SnapshotBound<'_>) -> usize {
         self.stripes
             .iter()
             .map(|s| s.write().collect(oldest_snapshot))
             .sum()
-    }
-
-    /// Garbage-collects a single stripe. Returns the number of versions
-    /// removed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stripe >= n_stripes()`.
-    pub fn collect_stripe(&self, stripe: usize, oldest_snapshot: &SnapshotBound<'_>) -> usize {
-        self.stripes[stripe].write().collect(oldest_snapshot)
     }
 
     /// Aggregate statistics: the sum of S O(1) per-stripe rollups, each
@@ -275,6 +268,7 @@ impl<K: Eq + Hash + Clone, V: Versioned + Clone> ConcurrentShardedStore<K, V> {
             total.keys += st.keys;
             total.versions += st.versions;
             total.collected += st.collected;
+            total.gc_candidates += st.gc_candidates;
         }
         total
     }
@@ -353,9 +347,10 @@ mod tests {
         // Each key keeps V(20) (newest visible at 25) and V(30): drops V(10).
         assert_eq!(s.collect(&at_most(25)), 64);
         assert_eq!(s.stats().collected, 64);
-        let per_stripe: usize = (0..4).map(|i| s.collect_stripe(i, &at_most(35))).sum();
-        assert_eq!(per_stripe, 64);
+        assert_eq!(s.stats().gc_candidates, 64);
+        assert_eq!(s.collect(&at_most(35)), 64);
         assert_eq!(s.stats().versions, 64);
+        assert_eq!(s.stats().gc_candidates, 0);
     }
 
     #[test]

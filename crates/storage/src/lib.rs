@@ -18,8 +18,9 @@
 //!   commit-timestamp cutoff;
 //! * [`VersionChain`] — the versions of one key;
 //! * [`MvStore`] — a flat map of chains behind an [`FxHasher`]-keyed
-//!   map, with watermark-based garbage collection ([`MvStore::collect`])
-//!   and O(1) [`MvStore::stats`];
+//!   map, with write-driven, watermark-based garbage collection
+//!   ([`MvStore::collect`] visits only chains holding ≥ 2 versions) and
+//!   O(1) [`MvStore::stats`];
 //! * [`ShardedStore`] — a partition's worth of data as `S` power-of-two
 //!   key-hash **stripes**, each an independent [`MvStore`] (the
 //!   single-threaded reference the benches and property tests pin the
@@ -46,9 +47,25 @@
 //! `latest_visible` / `newest` / `chain` / `stats` / `iter` behave
 //! exactly like the flat store (property-tested against it) — but give
 //! the write side independent units: per-stripe stats rollup, per-stripe
-//! GC sweeps ([`ShardedStore::collect_stripe`]), and per-stripe batch
-//! buckets, so a future multi-threaded server can serve slices
-//! concurrently without a global lock.
+//! GC candidate lists, and per-stripe batch buckets, so a multi-threaded
+//! server can serve slices concurrently without a global lock.
+//!
+//! # Write-driven garbage collection
+//!
+//! Wren's GC rule (§IV-B) keeps, per key, the newest version visible at
+//! the DC's oldest active snapshot and everything newer. A chain with
+//! one version has nothing to drop, so each [`MvStore`] keeps a list of
+//! **GC candidates** under one invariant: a key is listed exactly when
+//! its chain holds ≥ 2 versions, and at most once. Every write path
+//! that takes a chain to two versions (`insert`, `insert_if_new`,
+//! `apply_batch`) lists the key; [`MvStore::collect`] visits only the
+//! list and delists each key its pass prunes back to one version. A GC
+//! pass thus costs O(keys written since the last pass), not O(keys
+//! stored): on a large partition that mostly serves reads, a tick
+//! visits the few chains written lately instead of every chain.
+//! Checkpoint restore and WAL replay go through the same write paths,
+//! so they need nothing extra; with GC off the list holds at most one
+//! entry per key.
 //!
 //! # The batch-apply contract
 //!

@@ -14,9 +14,10 @@
 //!   per-stripe hash tables of entropy;
 //! * stats roll up per stripe ([`ShardedStore::stats`] sums S O(1)
 //!   counters; [`ShardedStore::stripe_stats`] exposes one stripe);
-//! * GC can sweep the whole store ([`ShardedStore::collect`]) or a
-//!   single stripe ([`ShardedStore::collect_stripe`]) — the unit a
-//!   server amortizes across ticks without blocking unrelated keys;
+//! * GC ([`ShardedStore::collect`]) runs each stripe's write-driven
+//!   pass in turn: a stripe visits only its multi-version chains (the
+//!   [`MvStore`] candidate list), so a pass costs what was written
+//!   since the last one, not what is stored;
 //! * batch apply ([`ShardedStore::apply_batch`]) fans a replication
 //!   batch out to per-stripe buckets and splices each key's run with one
 //!   binary search (see [`VersionChain::apply_batch`]).
@@ -44,8 +45,8 @@ const DEFAULT_STRIPES: usize = 16;
 /// semantics (striping is invisible to readers). On top, it exposes the
 /// stripe structure — [`n_stripes`](ShardedStore::n_stripes),
 /// [`stripe_of`](ShardedStore::stripe_of),
-/// [`collect_stripe`](ShardedStore::collect_stripe) — and the batched
-/// write path [`apply_batch`](ShardedStore::apply_batch).
+/// [`stripe_stats`](ShardedStore::stripe_stats) — and the batched write
+/// path [`apply_batch`](ShardedStore::apply_batch).
 #[derive(Clone, Debug)]
 pub struct ShardedStore<K, V> {
     stripes: Vec<MvStore<K, V>>,
@@ -159,28 +160,14 @@ impl<K: Eq + Hash + Clone, V: Versioned> ShardedStore<K, V> {
         applied
     }
 
-    /// Runs garbage collection over every stripe (a full sweep, done
-    /// stripe by stripe). Returns the number of versions removed.
+    /// Runs garbage collection stripe by stripe, each visiting only its
+    /// GC candidates (see [`MvStore::collect`]). Returns the number of
+    /// versions removed.
     pub fn collect(&mut self, oldest_snapshot: &SnapshotBound<'_>) -> usize {
         self.stripes
             .iter_mut()
             .map(|s| s.collect(oldest_snapshot))
             .sum()
-    }
-
-    /// Garbage-collects a single stripe — the sweep unit a server can
-    /// rotate across GC ticks so no tick stalls on the whole key space.
-    /// Returns the number of versions removed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stripe >= n_stripes()`.
-    pub fn collect_stripe(
-        &mut self,
-        stripe: usize,
-        oldest_snapshot: &SnapshotBound<'_>,
-    ) -> usize {
-        self.stripes[stripe].collect(oldest_snapshot)
     }
 
     /// Aggregate statistics: the sum of S O(1) per-stripe rollups.
@@ -191,6 +178,7 @@ impl<K: Eq + Hash + Clone, V: Versioned> ShardedStore<K, V> {
             total.keys += st.keys;
             total.versions += st.versions;
             total.collected += st.collected;
+            total.gc_candidates += st.gc_candidates;
         }
         total
     }
@@ -300,16 +288,14 @@ mod tests {
         assert_eq!(removed, 64);
         assert_eq!(s.stats().collected, 64);
 
-        // Per-stripe sweep finds nothing more at the same watermark…
-        for i in 0..4 {
-            assert_eq!(s.collect_stripe(i, &at_most(25)), 0);
-        }
-        // …and a higher watermark prunes stripe by stripe to one version.
-        let mut removed = 0;
-        for i in 0..4 {
-            removed += s.collect_stripe(i, &at_most(35));
-        }
-        assert_eq!(removed, 64);
+        assert_eq!(s.stats().gc_candidates, 64);
+
+        // A second pass finds nothing more at the same watermark…
+        assert_eq!(s.collect(&at_most(25)), 0);
+        // …and a higher watermark prunes every chain to one version,
+        // which empties the candidate lists.
+        assert_eq!(s.collect(&at_most(35)), 64);
         assert_eq!(s.stats().versions, 64);
+        assert_eq!(s.stats().gc_candidates, 0);
     }
 }

@@ -1,4 +1,5 @@
 use crate::{FxBuildHasher, SnapshotBound, VersionChain, Versioned};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::Hash;
 
@@ -11,6 +12,9 @@ pub struct StoreStats {
     pub versions: usize,
     /// Total versions removed by garbage collection since creation.
     pub collected: u64,
+    /// Keys whose chain holds at least two versions: the chains the next
+    /// [`collect`](MvStore::collect) visits.
+    pub gc_candidates: usize,
 }
 
 /// One partition's worth of multi-versioned data: a map from key to
@@ -25,9 +29,25 @@ pub struct StoreStats {
 /// maintained incrementally on [`insert`](MvStore::insert) /
 /// [`collect`](MvStore::collect), so [`stats`](MvStore::stats) is O(1)
 /// instead of a scan over every chain.
+///
+/// # Write-driven garbage collection
+///
+/// A chain with one version has nothing to collect, so GC only ever
+/// needs the multi-version chains. The store keeps them on a candidate
+/// list with one invariant: **a key is on the list exactly when its
+/// chain holds ≥ 2 versions, and at most once**. The write paths
+/// ([`insert`](MvStore::insert), [`insert_if_new`](MvStore::insert_if_new),
+/// [`apply_batch`](MvStore::apply_batch)) push a key when they take its
+/// chain from fewer than two versions to two or more;
+/// [`collect`](MvStore::collect) visits only the list and drops each key
+/// whose chain it prunes back to one version. A GC pass therefore costs
+/// O(keys written since they were last collected), not O(keys stored),
+/// and the list never holds more than one entry per key, GC or no GC.
 #[derive(Clone, Debug)]
 pub struct MvStore<K, V> {
     chains: HashMap<K, VersionChain<V>, FxBuildHasher>,
+    /// Keys whose chain holds ≥ 2 versions (see the type docs).
+    gc_candidates: Vec<K>,
     versions: usize,
     collected: u64,
     /// Reusable buffer for one key's run during [`apply_batch`]
@@ -42,6 +62,7 @@ impl<K, V> Default for MvStore<K, V> {
     fn default() -> Self {
         MvStore {
             chains: HashMap::default(),
+            gc_candidates: Vec::new(),
             versions: 0,
             collected: 0,
             run_scratch: Vec::new(),
@@ -57,7 +78,16 @@ impl<K: Eq + Hash + Clone, V: Versioned> MvStore<K, V> {
 
     /// Inserts a new version of `key`.
     pub fn insert(&mut self, key: K, version: V) {
-        self.chains.entry(key).or_default().insert(version);
+        match self.chains.entry(key) {
+            Entry::Occupied(mut e) => {
+                let chain = e.get_mut();
+                chain.insert(version);
+                if chain.len() == 2 {
+                    self.gc_candidates.push(e.key().clone());
+                }
+            }
+            Entry::Vacant(e) => e.insert(VersionChain::new()).insert(version),
+        }
         self.versions += 1;
     }
 
@@ -92,14 +122,35 @@ impl<K: Eq + Hash + Clone, V: Versioned> MvStore<K, V> {
                 run.push(v);
             } else {
                 let done_key = std::mem::replace(&mut cur_key, k);
-                self.chains.entry(done_key).or_default().apply_batch(&mut run);
+                self.apply_run(done_key, &mut run);
                 run.push(v);
             }
         }
-        self.chains.entry(cur_key).or_default().apply_batch(&mut run);
+        self.apply_run(cur_key, &mut run);
         self.run_scratch = run;
         self.versions += applied;
         applied
+    }
+
+    /// Splices one key's sorted run into its chain, enlisting the key as
+    /// a GC candidate if the run takes the chain to two or more versions.
+    fn apply_run(&mut self, key: K, run: &mut Vec<V>) {
+        match self.chains.entry(key) {
+            Entry::Occupied(mut e) => {
+                let chain = e.get_mut();
+                let before = chain.len();
+                chain.apply_batch(run);
+                if before < 2 && chain.len() >= 2 {
+                    self.gc_candidates.push(e.key().clone());
+                }
+            }
+            Entry::Vacant(e) => {
+                if run.len() >= 2 {
+                    self.gc_candidates.push(e.key().clone());
+                }
+                e.insert(VersionChain::new()).apply_batch(run);
+            }
+        }
     }
 
     /// Inserts a version of `key` only if no version with the same LWW
@@ -107,7 +158,20 @@ impl<K: Eq + Hash + Clone, V: Versioned> MvStore<K, V> {
     /// whether the insert happened. Used by WAL replay, which may
     /// re-apply already-applied replication records.
     pub fn insert_if_new(&mut self, key: K, version: V) -> bool {
-        let inserted = self.chains.entry(key).or_default().insert_if_new(version);
+        let inserted = match self.chains.entry(key) {
+            Entry::Occupied(mut e) => {
+                let chain = e.get_mut();
+                let inserted = chain.insert_if_new(version);
+                if inserted && chain.len() == 2 {
+                    self.gc_candidates.push(e.key().clone());
+                }
+                inserted
+            }
+            Entry::Vacant(e) => {
+                e.insert(VersionChain::new()).insert(version);
+                true
+            }
+        };
         if inserted {
             self.versions += 1;
         }
@@ -130,17 +194,20 @@ impl<K: Eq + Hash + Clone, V: Versioned> MvStore<K, V> {
         self.chains.get(key)
     }
 
-    /// Runs garbage collection over every chain with the oldest-active-
-    /// snapshot bound (see [`VersionChain::collect`]). Chains already at
-    /// length ≤ 1 are skipped outright. Returns the number of versions
+    /// Runs garbage collection with the oldest-active-snapshot bound (see
+    /// [`VersionChain::collect`]) over the GC candidates — the chains
+    /// holding ≥ 2 versions; single-version chains have nothing to drop
+    /// and are never visited. A candidate stays listed while its chain
+    /// still holds more than one version. Returns the number of versions
     /// removed by this call.
     pub fn collect(&mut self, oldest_snapshot: &SnapshotBound<'_>) -> usize {
         let mut removed = 0;
-        for chain in self.chains.values_mut() {
-            if chain.len() > 1 {
-                removed += chain.collect(oldest_snapshot);
-            }
-        }
+        let chains = &mut self.chains;
+        self.gc_candidates.retain(|key| {
+            let chain = chains.get_mut(key).expect("GC candidates name stored keys");
+            removed += chain.collect(oldest_snapshot);
+            chain.len() > 1
+        });
         self.versions -= removed;
         self.collected += removed as u64;
         removed
@@ -152,6 +219,7 @@ impl<K: Eq + Hash + Clone, V: Versioned> MvStore<K, V> {
             keys: self.chains.len(),
             versions: self.versions,
             collected: self.collected,
+            gc_candidates: self.gc_candidates.len(),
         }
     }
 
@@ -231,6 +299,8 @@ mod tests {
             // The incremental count must equal a full recount.
             let recount: usize = s.iter().map(|(_, c)| c.len()).sum();
             assert_eq!(stats.versions, recount, "round {round}");
+            let multi = s.iter().filter(|(_, c)| c.len() >= 2).count();
+            assert_eq!(stats.gc_candidates, multi, "round {round}");
         }
     }
 

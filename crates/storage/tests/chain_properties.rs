@@ -6,8 +6,13 @@
 //! randomized insertion order — including commit-timestamp ties broken by
 //! `(dc, tx)` — and every bound shape (`at_most`, `bist`, `vector`), the
 //! indexed `latest_visible`/`collect` must agree with the oracle exactly.
+//!
+//! The store's write-driven GC (a pass visits only the chains holding
+//! ≥ 2 versions) is checked against a **full-sweep oracle** that collects
+//! every chain, the way the store did before it kept a candidate list.
 
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use wren_clock::{Timestamp, VersionVector};
 use wren_storage::{MvStore, SnapshotBound, VersionChain, Versioned};
 
@@ -67,6 +72,182 @@ fn build_chain(versions: &[V]) -> VersionChain<V> {
         chain.insert(v.clone());
     }
     chain
+}
+
+/// One step of a random store history.
+#[derive(Clone, Debug)]
+enum Op {
+    Insert(u64, V),
+    InsertIfNew(u64, V),
+    /// Re-applies the write of an earlier step (index taken modulo the
+    /// writes so far) through `insert_if_new`, as WAL replay does.
+    Replay(usize),
+    ApplyBatch(Vec<(u64, V)>),
+    /// GC at the BiST bound `(local dc, lt, rt)`.
+    Collect(u8, u64, u64),
+}
+
+/// Few keys and a ct domain the watermarks can overtake, so chains are
+/// collected back to one version and then overwritten again.
+fn arb_version() -> impl Strategy<Value = V> {
+    (0u64..300, 0u8..3, 0u64..8, 0u64..300).prop_map(|(ct, sr, tx, rdt)| V {
+        ct,
+        sr,
+        tx,
+        rdt: rdt.min(ct),
+    })
+}
+
+fn arb_ops(max: usize) -> impl Strategy<Value = Vec<Op>> {
+    let op = prop_oneof![
+        (0u64..6, arb_version()).prop_map(|(k, v)| Op::Insert(k, v)),
+        (0u64..6, arb_version()).prop_map(|(k, v)| Op::Insert(k, v)),
+        (0u64..6, arb_version()).prop_map(|(k, v)| Op::InsertIfNew(k, v)),
+        (0usize..64).prop_map(Op::Replay),
+        proptest::collection::vec((0u64..6, arb_version()), 1..6).prop_map(Op::ApplyBatch),
+        (0u8..3, 0u64..400, 0u64..400).prop_map(|(dc, lt, rt)| Op::Collect(dc, lt, rt)),
+    ];
+    proptest::collection::vec(op, 1..max).prop_map(|mut ops| {
+        // Unique transaction ids, as in `arb_versions`.
+        let mut n = 0u64;
+        let mut unique = |v: &mut V| {
+            v.tx += n << 3;
+            n += 1;
+        };
+        for op in &mut ops {
+            match op {
+                Op::Insert(_, v) | Op::InsertIfNew(_, v) => unique(v),
+                Op::ApplyBatch(items) => items.iter_mut().for_each(|(_, v)| unique(v)),
+                Op::Replay(_) | Op::Collect(..) => {}
+            }
+        }
+        ops
+    })
+}
+
+/// The full-sweep oracle: the same chains, collected by visiting every
+/// one of them on each pass.
+#[derive(Default)]
+struct FullSweep {
+    chains: BTreeMap<u64, VersionChain<V>>,
+    collected: u64,
+}
+
+impl FullSweep {
+    fn collect(&mut self, bound: &SnapshotBound<'_>) -> usize {
+        let removed: usize = self.chains.values_mut().map(|c| c.collect(bound)).sum();
+        self.collected += removed as u64;
+        removed
+    }
+}
+
+fn assert_matches_full_sweep(store: &MvStore<u64, V>, oracle: &FullSweep, step: usize) {
+    for (k, chain) in &oracle.chains {
+        let got: Vec<&V> = store.chain(k).expect("key present").iter().collect();
+        let want: Vec<&V> = chain.iter().collect();
+        assert_eq!(got, want, "step {step}: chain of key {k}");
+    }
+    let stats = store.stats();
+    assert_eq!(stats.keys, oracle.chains.len(), "step {step}: keys");
+    let versions: usize = oracle.chains.values().map(VersionChain::len).sum();
+    assert_eq!(stats.versions, versions, "step {step}: versions");
+    assert_eq!(stats.collected, oracle.collected, "step {step}: collected");
+    let multi = oracle.chains.values().filter(|c| c.len() >= 2).count();
+    assert_eq!(stats.gc_candidates, multi, "step {step}: gc_candidates");
+}
+
+proptest! {
+    /// Write-driven GC is observationally a full sweep: after every step
+    /// of a random interleaving of `insert`, `insert_if_new` (fresh and
+    /// replayed), `apply_batch` and `collect`, the store's chains,
+    /// removal counts and `collected` equal the full-sweep oracle's, and
+    /// exactly the keys with ≥ 2 versions are GC candidates.
+    #[test]
+    fn write_driven_collect_matches_full_sweep(ops in arb_ops(80)) {
+        let mut store: MvStore<u64, V> = MvStore::new();
+        let mut oracle = FullSweep::default();
+        let mut writes: Vec<(u64, V)> = Vec::new();
+        for (step, op) in ops.into_iter().enumerate() {
+            match op {
+                Op::Insert(k, v) => {
+                    store.insert(k, v.clone());
+                    oracle.chains.entry(k).or_default().insert(v.clone());
+                    writes.push((k, v));
+                }
+                Op::InsertIfNew(k, v) => {
+                    let got = store.insert_if_new(k, v.clone());
+                    let want = oracle.chains.entry(k).or_default().insert_if_new(v.clone());
+                    prop_assert_eq!(got, want, "step {}: insert_if_new", step);
+                    writes.push((k, v));
+                }
+                Op::Replay(i) => {
+                    if writes.is_empty() {
+                        continue;
+                    }
+                    let (k, v) = writes[i % writes.len()].clone();
+                    let got = store.insert_if_new(k, v.clone());
+                    let want = oracle.chains.entry(k).or_default().insert_if_new(v);
+                    prop_assert_eq!(got, want, "step {}: replay", step);
+                }
+                Op::ApplyBatch(mut items) => {
+                    for (k, v) in &items {
+                        oracle.chains.entry(*k).or_default().insert(v.clone());
+                    }
+                    writes.extend(items.iter().cloned());
+                    let n = items.len();
+                    prop_assert_eq!(store.apply_batch(&mut items), n);
+                }
+                Op::Collect(dc, lt, rt) => {
+                    let bound = SnapshotBound::bist(dc, ts(lt), ts(rt));
+                    prop_assert_eq!(store.collect(&bound), oracle.collect(&bound), "step {}", step);
+                }
+            }
+            assert_matches_full_sweep(&store, &oracle, step);
+        }
+    }
+}
+
+/// A key collected back to one version leaves the candidate list, and a
+/// later overwrite lists it again (once), whichever write path makes it.
+#[test]
+fn collected_key_reenters_candidates_when_overwritten() {
+    let v = |ct: u64| V {
+        ct,
+        sr: 0,
+        tx: ct,
+        rdt: 0,
+    };
+    let mut store: MvStore<u64, V> = MvStore::new();
+    store.insert(1, v(10));
+    store.insert(2, v(10));
+    assert_eq!(store.stats().gc_candidates, 0);
+    store.insert(1, v(20));
+    store.insert(1, v(30));
+    assert_eq!(
+        store.stats().gc_candidates,
+        1,
+        "listed once, not per version"
+    );
+
+    assert_eq!(store.collect(&SnapshotBound::at_most(ts(40))), 2);
+    assert_eq!(store.stats().gc_candidates, 0);
+    assert_eq!(store.collect(&SnapshotBound::at_most(ts(40))), 0);
+
+    store.insert(1, v(50));
+    assert_eq!(store.stats().gc_candidates, 1);
+    assert!(store.insert_if_new(2, v(50)));
+    assert!(!store.insert_if_new(2, v(50)));
+    assert_eq!(store.stats().gc_candidates, 2);
+    store.collect(&SnapshotBound::at_most(ts(60)));
+    assert_eq!(store.stats().gc_candidates, 0);
+
+    let mut batch = vec![(1, v(70)), (3, v(70)), (3, v(80))];
+    store.apply_batch(&mut batch);
+    assert_eq!(
+        store.stats().gc_candidates,
+        2,
+        "key 1 re-listed, new key 3 listed"
+    );
 }
 
 proptest! {

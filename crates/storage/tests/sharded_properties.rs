@@ -105,14 +105,13 @@ proptest! {
         }
     }
 
-    /// GC on the sharded store (full sweep and stripe-by-stripe sweep)
-    /// removes exactly what the flat store removes.
+    /// GC on the sharded store removes exactly what the flat store
+    /// removes.
     #[test]
     fn sharded_collect_matches_flat_store(
         items in arb_keyed(60),
         stripes in 1usize..10,
         watermark in 0u64..40,
-        stripewise in 0u8..2,
     ) {
         let mut sharded: ShardedStore<u64, V> = ShardedStore::with_stripes(stripes);
         let mut flat: MvStore<u64, V> = MvStore::new();
@@ -122,11 +121,7 @@ proptest! {
         }
         let bound = SnapshotBound::at_most(ts(watermark));
         let removed_flat = flat.collect(&bound);
-        let removed_sharded = if stripewise == 1 {
-            (0..sharded.n_stripes()).map(|i| sharded.collect_stripe(i, &bound)).sum()
-        } else {
-            sharded.collect(&bound)
-        };
+        let removed_sharded = sharded.collect(&bound);
         prop_assert_eq!(removed_sharded, removed_flat);
         prop_assert_eq!(sharded.stats().collected, flat.stats().collected);
         assert_same_contents(&sharded, &flat);

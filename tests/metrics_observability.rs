@@ -89,6 +89,13 @@ fn merged_snapshot_covers_every_layer_after_loopback_run() {
 
     let before = cluster.metrics();
     drive(&cluster);
+    // GC runs on its own 50 ms tick, not on the traffic: wait (bounded)
+    // for a pass that pruned the rounds `drive` overwrote.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while cluster.metrics().counter("gc_versions_removed") == 0 {
+        assert!(Instant::now() < deadline, "no GC pass removed a version");
+        std::thread::sleep(Duration::from_millis(10));
+    }
     let snap = cluster.metrics();
 
     // Engine hot paths, merged across partitions (unprefixed names).
@@ -110,6 +117,8 @@ fn merged_snapshot_covers_every_layer_after_loopback_run() {
         "replication_batch_txs",
         "visibility_lag_local_micros",
         "visibility_lag_remote_micros",
+        // GC tick: wall time of each store collect pass.
+        "gc_pass_micros",
         // Session-side operation latencies.
         "session_begin_micros",
         "session_read_micros",
@@ -128,6 +137,7 @@ fn merged_snapshot_covers_every_layer_after_loopback_run() {
     assert_eq!(snap.counter("tcp_dropped_frames"), 0, "healthy run dropped frames");
     assert!(snap.counter("slices_served") > 0, "no slices served");
     assert!(snap.counter("keys_read") > 0, "no keys read");
+    assert!(snap.counter("gc_versions_removed") > 0, "GC removed no versions");
 
     // The snapshot diffs cleanly: the delta is exactly what moved
     // between the two snapshots (gossip frames were already flowing
