@@ -174,7 +174,13 @@ impl WrenClient {
         // old snapshot (lst covers old-DC items, rst the rest) and its own
         // writes (hwt). In the new DC all of these are "remote", so the
         // assigned remote snapshot must reach this floor.
-        let floor = self.lst.max(self.rst).max(self.hwt);
+        // A migration abandoned part-way has already zeroed lst/rst;
+        // the floor it was waiting for still binds this one.
+        let floor = self
+            .lst
+            .max(self.rst)
+            .max(self.hwt)
+            .max(self.migration_floor.unwrap_or(Timestamp::ZERO));
         self.migration_floor = Some(floor);
         self.coordinator = new_coordinator;
         self.lst = Timestamp::ZERO;
@@ -525,6 +531,30 @@ mod tests {
     fn read_without_tx_panics() {
         let mut c = WrenClient::new(ClientId(1), ServerId::new(0, 0));
         let _ = c.read(&[Key(1)]);
+    }
+
+    #[test]
+    fn migrating_again_keeps_the_pending_floor() {
+        let mut c = WrenClient::new(ClientId(1), ServerId::new(0, 0));
+        c.start();
+        respond_start(&mut c, 10, 50);
+        c.abort();
+        c.migrate_to(ServerId::new(1, 0)); // floor 50
+        c.start();
+        respond_start(&mut c, 5, 20); // not there yet
+        c.abort(); // the migration is abandoned here...
+        c.migrate_to(ServerId::new(2, 0)); // ...and retried elsewhere
+        c.start();
+        respond_start(&mut c, 5, 30);
+        c.abort();
+        assert!(
+            !c.migration_ready(),
+            "a snapshot below the first migration's floor must not end the retry"
+        );
+        c.start();
+        respond_start(&mut c, 5, 50);
+        c.abort();
+        assert!(c.migration_ready());
     }
 
     #[test]

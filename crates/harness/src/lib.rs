@@ -14,7 +14,7 @@
 //!   blocking times (Fig. 3b), bytes on the wire by category (Fig. 7a)
 //!   and update-visibility samples (Fig. 7b);
 //! * [`RtSpec`] + [`run_rt`] — the same closed-loop client model against
-//!   the **real threaded runtime** (`wren-rt`), over in-process channels
+//!   the **real runtime** (`wren-rt`), over in-process channels
 //!   or loopback TCP ([`RtTransport`]), measuring wall-clock throughput
 //!   and latency including every serialization and socket cost.
 //!

@@ -1,17 +1,15 @@
 //! The reactor: every connection of a process served by a fixed
 //! thread pool, over a pluggable readiness [`Backend`].
 //!
-//! The threaded transport ([`Outbox`](crate::Outbox) +
-//! [`FramedReader`](crate::FramedReader)) spends two OS threads per
-//! connection; this module serves *all* connections — listeners,
-//! accepted sessions, dialed peer links — from `reactor_threads` event
-//! loops, so the fabric's thread count is a deployment constant instead
-//! of a function of client count. The sans-io layering is unchanged:
-//! frames are reassembled by the same
-//! [`FrameDecoder`](wren_protocol::frame::FrameDecoder), and the send
-//! side keeps the outbox contract exactly — bounded queue, enqueue
-//! never blocks, a frame offered to an empty queue is always admitted,
-//! and a peer whose queue backs past the cap is severed.
+//! Serves *all* of a process's connections — listeners, accepted
+//! sessions, dialed peer links — from `reactor_threads` event loops,
+//! so the fabric's thread count is a deployment constant instead of a
+//! function of client count. The sans-io layering holds: frames are
+//! reassembled by the [`FrameDecoder`], and the send side is each
+//! connection's **outbox** — a bounded queue whose enqueue never
+//! blocks, which always admits a frame offered to it empty, and whose
+//! peer is severed once the queue backs past the cap (see
+//! [`ConnHandle`]).
 //!
 //! Topology per reactor thread: one [`Poller`] (level-triggered), one
 //! [`Waker`] (eventfd) for cross-thread nudges, and a private map of
@@ -82,6 +80,10 @@ const READ_BUDGET: usize = 256 * 1024;
 /// interest and yields; the still-writable socket re-reports on the
 /// next wait, after every other fd got its turn.
 pub(crate) const WRITE_BUDGET: usize = 256 * 1024;
+
+/// Default outbox capacity: queued, unwritten response bytes per
+/// client connection before the connection is severed.
+pub const DEFAULT_OUTBOX_BYTES: usize = 4 * 1024 * 1024;
 
 /// How the reactor reacts to connection events. One handler instance
 /// serves every connection; per-connection protocol state lives in
@@ -186,13 +188,15 @@ impl ThreadShared {
     }
 }
 
-/// Handle to one reactor-served connection's send side. Cloneable and
-/// sendable; all clones feed the same queue. The contract is the
-/// [`Outbox`](crate::Outbox) contract: enqueues never block, a frame
-/// offered to an empty queue is always admitted (the cap catches peers
-/// that stop *reading*, it does not bound message size), and an enqueue
-/// that would push a non-empty queue past the cap severs the
-/// connection.
+/// Handle to one reactor-served connection's send side (its outbox).
+/// Cloneable and sendable; all clones feed the same queue. Enqueues
+/// never block — the engine threads must never wait on a peer's
+/// receive window, or one stalled client would stall every session on
+/// its partition. A frame offered to an empty queue is always admitted
+/// (the cap catches peers that stop *reading*, it does not bound
+/// message size), and an enqueue that would push a non-empty queue
+/// past the cap severs the connection: the peer's requests then time
+/// out client-side and the partition spends nothing further on it.
 #[derive(Clone)]
 pub struct ConnHandle {
     pub(crate) token: u64,
@@ -974,7 +978,7 @@ fn read_burst<H: ReactorHandler>(
                         }
                         Ok(None) => break,
                         // Oversized frame: the guard fires before any
-                        // buffering; sever like the threaded reader.
+                        // buffering; sever the connection.
                         Err(_) => return After::Close,
                     }
                 }
@@ -1277,6 +1281,10 @@ mod tests {
         assert!(accepted < 100, "a non-reading peer must overflow the cap");
         assert!(handle.is_closed());
         assert!(!handle.enqueue(chunk), "enqueue after sever must fail");
+        assert_eq!(handle.queued_bytes(), 0, "a severed queue holds nothing");
+        handle.sever();
+        handle.sever(); // idempotent on an already-severed connection
+        assert!(handle.is_closed());
         reactor.shutdown();
         reactor.join();
     }

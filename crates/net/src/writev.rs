@@ -1,10 +1,10 @@
 //! Pure arithmetic behind the vectored outbox drains.
 //!
-//! Both send paths — the reactor's [`write_ready`](crate::reactor) and
-//! the threaded fabric's outbox writer — drain queued frames with
-//! `writev(2)` (via [`std::io::Write::write_vectored`]): many frames
-//! per syscall instead of one. A vectored write may be *partial* at any
-//! byte — mid-frame, mid-iovec, exactly on a boundary — so the
+//! Both reactor backends drain queued frames many per syscall instead
+//! of one: the epoll loop with `writev(2)` (via
+//! [`std::io::Write::write_vectored`]), the io_uring loop with one
+//! vectored `sendmsg` submission per batch. A vectored write may be
+//! *partial* at any byte — mid-frame, mid-iovec, exactly on a boundary — so the
 //! bookkeeping that turns "the kernel accepted `n` bytes" back into
 //! "which frames are done, and how far into the next one are we" must
 //! be exact. That arithmetic lives here, free of sockets and locks, so

@@ -1,7 +1,7 @@
 use crate::engine::{Durability, PartitionEngine, ReadJob};
 use crate::metrics::SessionMetrics;
 use crate::reactor_fabric::ReactorFabric;
-use crate::tcp::{bind_listeners, spawn_acceptors, TcpFabric};
+use crate::tcp::bind_listeners;
 use crate::Session;
 use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::{Mutex, RwLock};
@@ -49,7 +49,7 @@ pub(crate) enum RtMsg {
     Kill,
     /// The TCP connection that carried `peer`-origin traffic into this
     /// partition died (EOF or error on the accepted socket). Only the
-    /// TCP fabrics emit this; the channel transport has no links to
+    /// TCP fabric emits this; the channel transport has no links to
     /// lose. The engine reacts when the peer is a sibling replica —
     /// replication from it may have been cut mid-stream, so a catch-up
     /// window opens until the peer re-ships what was in flight.
@@ -57,83 +57,6 @@ pub(crate) enum RtMsg {
         /// The peer whose outbound link to this server went away.
         peer: ServerId,
     },
-}
-
-/// Which thread topology serves the TCP sockets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum FabricKind {
-    /// Two OS threads per connection (reader + outbox writer).
-    Threaded,
-    /// A fixed pool of epoll reactor threads serving every fd.
-    Reactor,
-}
-
-/// The socket fabric behind a TCP-mode cluster: same wire format, same
-/// handshake, same slow-client semantics — different thread topology.
-pub(crate) enum Fabric {
-    /// The per-connection-thread fabric ([`crate::tcp`]).
-    Threaded(TcpFabric),
-    /// The epoll reactor fabric ([`crate::reactor_fabric`]).
-    Reactor(ReactorFabric),
-}
-
-impl Fabric {
-    pub(crate) fn send_server(&self, src: ServerId, to: ServerId, msg: &WrenMsg) {
-        match self {
-            Fabric::Threaded(f) => f.send_server(src, to, msg),
-            Fabric::Reactor(f) => f.send_server(src, to, msg),
-        }
-    }
-
-    pub(crate) fn send_client(&self, to: ClientId, msg: &WrenMsg) {
-        match self {
-            Fabric::Threaded(f) => f.send_client(to, msg),
-            Fabric::Reactor(f) => f.send_client(to, msg),
-        }
-    }
-
-    pub(crate) fn shutdown(&self) {
-        match self {
-            Fabric::Threaded(f) => f.shutdown(),
-            Fabric::Reactor(f) => f.shutdown(),
-        }
-    }
-
-    pub(crate) fn join_threads(&self) {
-        match self {
-            Fabric::Threaded(f) => f.join_threads(),
-            Fabric::Reactor(f) => f.join_threads(),
-        }
-    }
-
-    pub(crate) fn dropped_frames(&self) -> u64 {
-        match self {
-            Fabric::Threaded(f) => f.dropped_frames(),
-            Fabric::Reactor(f) => f.dropped_frames(),
-        }
-    }
-
-    /// The fabric's socket-boundary metric registry. Both fabrics use
-    /// identical metric names, so a threaded-vs-reactor comparison is a
-    /// diff of two cluster snapshots.
-    pub(crate) fn registry(&self) -> Registry {
-        match self {
-            Fabric::Threaded(f) => f.registry(),
-            Fabric::Reactor(f) => f.registry(),
-        }
-    }
-
-    /// Tears down one server's network presence abruptly: its listener
-    /// closes (the address frees for a restart rebind), every
-    /// established connection it owns is severed mid-stream, and peer
-    /// links to or from it are dropped. Peers observe EOF — exactly
-    /// what `kill -9` on the server's process would produce.
-    pub(crate) fn kill_server(&self, id: ServerId) {
-        match self {
-            Fabric::Threaded(f) => f.kill_server(id),
-            Fabric::Reactor(f) => f.kill_server(id),
-        }
-    }
 }
 
 /// Shared routing state: writer inboxes, per-partition read channels and
@@ -152,7 +75,7 @@ pub(crate) struct Router {
     read_txs: Vec<Sender<ReadJob>>,
     clients: RwLock<HashMap<ClientId, Sender<WrenMsg>>>,
     /// In TCP mode, the socket fabric every inter-node hop crosses.
-    tcp: Option<Fabric>,
+    tcp: Option<ReactorFabric>,
 }
 
 impl Router {
@@ -161,25 +84,16 @@ impl Router {
     }
 
     /// The TCP fabric, when the cluster runs over sockets.
-    pub(crate) fn tcp(&self) -> Option<&Fabric> {
+    pub(crate) fn tcp(&self) -> Option<&ReactorFabric> {
         self.tcp.as_ref()
-    }
-
-    /// The threaded fabric specifically — what the acceptor/reader
-    /// thread machinery in [`crate::tcp`] runs against.
-    pub(crate) fn tcp_threaded(&self) -> Option<&TcpFabric> {
-        match self.tcp.as_ref() {
-            Some(Fabric::Threaded(f)) => Some(f),
-            _ => None,
-        }
     }
 
     /// Routes one server-bound message from a local engine or session.
     ///
     /// Channel mode delivers straight into the destination's inbox; TCP
     /// mode frames the message onto the sender's outbound link — it
-    /// re-enters via [`deliver_local`](Self::deliver_local) on the
-    /// destination's connection reader thread.
+    /// re-enters via [`deliver_local_batch`](Self::deliver_local_batch)
+    /// when the destination's reactor thread decodes it.
     pub(crate) fn send_to_server(&self, src: Dest, to: ServerId, msg: WrenMsg) {
         if let Some(fabric) = &self.tcp {
             let Dest::Server(s) = src else {
@@ -194,68 +108,59 @@ impl Router {
         self.deliver_local(src, to, msg);
     }
 
-    /// Delivers a message to a **local** engine: `SliceReq` is diverted
-    /// to the partition's read workers (when the engine runs any),
-    /// everything else lands in the writer's inbox. In TCP mode this is
-    /// the wire's exit point, called by connection reader threads.
-    pub(crate) fn deliver_local(&self, src: Dest, to: ServerId, msg: WrenMsg) {
-        let idx = self.index_of(to);
-        if !self.read_txs.is_empty() {
-            if let WrenMsg::SliceReq { tx, lt, rt, keys } = msg {
-                let Dest::Server(coordinator) = src else {
-                    // Only a coordinator legitimately sends SliceReq,
-                    // but over TCP this arm is reachable by any client
-                    // that frames one — drop it (no assert: remote
-                    // input must never panic a server thread).
-                    return;
-                };
-                // A send only fails during shutdown; drop the job then.
-                let _ = self.read_txs[idx].send(ReadJob::Slice {
-                    coordinator,
-                    tx,
-                    lt,
-                    rt,
-                    keys,
-                });
-                return;
-            }
+    /// The routing rule every local delivery applies: a `SliceReq` is
+    /// diverted to partition `idx`'s read workers (when the engine runs
+    /// any) and `None` comes back; anything else is handed back for the
+    /// writer's inbox. Only a coordinator legitimately sends `SliceReq`,
+    /// but over TCP any client that frames one reaches this point, so a
+    /// `SliceReq` from a client is dropped — no assert: remote input
+    /// must never panic a server thread.
+    fn divert_slice(&self, idx: usize, src: Dest, msg: WrenMsg) -> Option<WrenMsg> {
+        if self.read_txs.is_empty() {
+            return Some(msg);
         }
-        // A send only fails during shutdown; drop the message then.
-        let _ = self.server_txs[idx].send(RtMsg::Proto { src, msg });
+        let WrenMsg::SliceReq { tx, lt, rt, keys } = msg else {
+            return Some(msg);
+        };
+        if let Dest::Server(coordinator) = src {
+            // A send only fails during shutdown; drop the job then.
+            let _ = self.read_txs[idx].send(ReadJob::Slice {
+                coordinator,
+                tx,
+                lt,
+                rt,
+                keys,
+            });
+        }
+        None
+    }
+
+    /// Delivers one message to a **local** engine in channel mode:
+    /// [`divert_slice`](Self::divert_slice) routing, then the writer's
+    /// inbox.
+    fn deliver_local(&self, src: Dest, to: ServerId, msg: WrenMsg) {
+        let idx = self.index_of(to);
+        if let Some(msg) = self.divert_slice(idx, src, msg) {
+            // A send only fails during shutdown; drop the message then.
+            let _ = self.server_txs[idx].send(RtMsg::Proto { src, msg });
+        }
     }
 
     /// Delivers one connection's decoded burst to a **local** engine in
-    /// a single inbox wake-up. Per message the routing matches
-    /// [`deliver_local`](Self::deliver_local) exactly — `SliceReq`s
-    /// peel off to the read workers in wire order, non-coordinator
-    /// `SliceReq`s drop — but everything bound for the writer thread
-    /// coalesces into one [`RtMsg::Batch`] (or a plain
-    /// [`RtMsg::Proto`] when only one message remains), so a pipelined
-    /// burst costs the engine one channel receive and one group-commit
-    /// point instead of one each per frame.
+    /// a single inbox wake-up — the wire's exit point in TCP mode,
+    /// called by the fabric's reactor threads. Per message the routing
+    /// is [`divert_slice`](Self::divert_slice)'s, in wire order, but
+    /// everything bound for the writer thread coalesces into one
+    /// [`RtMsg::Batch`] (or a plain [`RtMsg::Proto`] when only one
+    /// message remains), so a pipelined burst costs the engine one
+    /// channel receive and one group-commit point instead of one each
+    /// per frame.
     pub(crate) fn deliver_local_batch(&self, src: Dest, to: ServerId, msgs: Vec<WrenMsg>) {
         let idx = self.index_of(to);
-        let mut engine_msgs = msgs;
-        if !self.read_txs.is_empty() {
-            engine_msgs.retain_mut(|msg| {
-                if let WrenMsg::SliceReq { tx, lt, rt, keys } = msg {
-                    if let Dest::Server(coordinator) = src {
-                        // A send only fails during shutdown; drop then.
-                        let _ = self.read_txs[idx].send(ReadJob::Slice {
-                            coordinator,
-                            tx: *tx,
-                            lt: *lt,
-                            rt: *rt,
-                            keys: std::mem::take(keys),
-                        });
-                    }
-                    // Diverted (or, from a non-coordinator, dropped —
-                    // same reasoning as `deliver_local`).
-                    return false;
-                }
-                true
-            });
-        }
+        let mut engine_msgs: Vec<WrenMsg> = msgs
+            .into_iter()
+            .filter_map(|msg| self.divert_slice(idx, src, msg))
+            .collect();
         // A send only fails during shutdown; drop the burst then.
         match engine_msgs.len() {
             0 => {}
@@ -299,8 +204,8 @@ impl Router {
     }
 
     /// Tells the engine at `at` that the inbound connection carrying
-    /// `peer`-origin traffic died. Called from connection-teardown paths
-    /// in both TCP fabrics; a failed send means the local engine is
+    /// `peer`-origin traffic died. Called from the TCP fabric's
+    /// connection teardown; a failed send means the local engine is
     /// down too, which needs no reaction.
     pub(crate) fn notify_link_lost(&self, at: ServerId, peer: ServerId) {
         let idx = self.index_of(at);
@@ -319,7 +224,7 @@ pub struct ClusterBuilder {
     session_timeout: Duration,
     gossip_fanout: u16,
     read_workers: usize,
-    tcp: Option<FabricKind>,
+    tcp: bool,
     tcp_client_outbox_bytes: usize,
     reactor_threads: usize,
     backend: Backend,
@@ -343,7 +248,7 @@ impl Default for ClusterBuilder {
             session_timeout: Duration::from_secs(5),
             gossip_fanout: 0,
             read_workers: 2,
-            tcp: None,
+            tcp: false,
             tcp_client_outbox_bytes: wren_net::DEFAULT_OUTBOX_BYTES,
             reactor_threads: 2,
             backend: Backend::default(),
@@ -425,29 +330,17 @@ impl ClusterBuilder {
     /// decoded back. The engines themselves (writer thread + read
     /// workers) are identical in every mode.
     ///
-    /// Sockets are served by the **epoll reactor fabric**: a fixed pool
-    /// of [`reactor_threads`](Self::reactor_threads) event-loop threads
-    /// owns every listener, accepted connection and dialed peer link,
-    /// so fabric threads are O(reactor_threads), not O(connections).
-    /// [`Self::tcp_threaded`] selects the older two-threads-per-
-    /// connection fabric instead (same wire format and semantics).
+    /// Sockets are served by the **reactor fabric**: a fixed pool of
+    /// [`reactor_threads`](Self::reactor_threads) event-loop threads
+    /// (epoll by default, io_uring via [`Self::backend`]) owns every
+    /// listener, accepted connection and dialed peer link, so fabric
+    /// threads are O(reactor_threads), not O(connections).
     ///
     /// [`Cluster::server_addrs`] exposes the bound addresses so
     /// sessions in *other processes* can join via
     /// [`Session::connect_tcp`](crate::Session::connect_tcp).
     pub fn tcp(mut self) -> Self {
-        self.tcp = Some(FabricKind::Reactor);
-        self
-    }
-
-    /// Runs the cluster over TCP with the **threaded fabric**: one
-    /// acceptor thread per partition plus a reader thread and an outbox
-    /// writer thread per connection. Byte-for-byte the same protocol as
-    /// [`Self::tcp`]; kept for apples-to-apples comparison (the
-    /// channel / threaded-TCP / reactor-TCP oracle suites) and as the
-    /// simplest-possible reference transport.
-    pub fn tcp_threaded(mut self) -> Self {
-        self.tcp = Some(FabricKind::Threaded);
+        self.tcp = true;
         self
     }
 
@@ -460,15 +353,15 @@ impl ClusterBuilder {
         self
     }
 
-    /// Which syscall backend the reactor fabric's event loops run on
+    /// Which syscall backend the TCP fabric's event loops run on
     /// (default [`Backend::Epoll`]). [`Backend::Uring`] moves accepts,
     /// recvs and sends into io_uring submission queues — one
     /// `io_uring_enter` per completion batch instead of per-event
     /// `epoll_wait`/`read`/`writev` — and **falls back to epoll at
     /// build time** when the kernel lacks io_uring (or a sandbox
     /// denies the syscall), so it is safe to request unconditionally.
-    /// [`Cluster::tcp_backend`] reports the resolution. No effect on
-    /// the threaded fabric or channel mode.
+    /// [`Cluster::tcp_backend`] reports the resolution. No effect in
+    /// channel mode.
     pub fn backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
         self
@@ -734,9 +627,9 @@ impl Cluster {
         }
         // TCP mode: bind every server's loopback listener up front so
         // the fabric knows all addresses before any engine (or lazy
-        // dial) runs; acceptors (threaded) or listener registrations
-        // (reactor) follow as soon as the router exists.
-        let (listeners, addrs) = if cfg.tcp.is_some() {
+        // dial) runs; the fabric registers them with its reactor as
+        // the router is built.
+        let (listeners, addrs) = if cfg.tcp {
             let (listeners, addrs) = bind_listeners(cfg.n_dcs, cfg.n_partitions)
                 .expect("bind loopback listeners");
             (Some(listeners), addrs)
@@ -745,42 +638,31 @@ impl Cluster {
         };
         let addrs = Arc::new(addrs);
 
-        // `new_cyclic` because the reactor fabric's handler needs a way
+        // `new_cyclic` because the fabric's reactor handler needs a way
         // back to the router (to deliver decoded frames into the
         // engines) while the router owns the fabric: the handler gets a
         // `Weak`, so there is no leak-forming Arc ring. The reactor's
         // loops start inside the closure, but nothing can reach them
         // until sessions dial — and a frame arriving before the Arc is
         // live is dropped, exactly like one arriving after shutdown.
-        let mut listeners = listeners;
         let router = Arc::new_cyclic(|weak: &std::sync::Weak<Router>| Router {
             n_partitions: cfg.n_partitions,
             server_txs: txs,
             read_txs,
             clients: RwLock::new(HashMap::new()),
-            tcp: cfg.tcp.map(|kind| match kind {
-                FabricKind::Threaded => Fabric::Threaded(TcpFabric::new(
-                    addrs.as_ref().clone(),
-                    cfg.n_partitions,
-                    cfg.tcp_client_outbox_bytes,
-                    cfg.fault_plan.clone(),
-                )),
-                FabricKind::Reactor => Fabric::Reactor(ReactorFabric::start(
+            tcp: listeners.map(|listeners| {
+                ReactorFabric::start(
                     addrs.as_ref().clone(),
                     cfg.n_partitions,
                     cfg.tcp_client_outbox_bytes,
                     cfg.reactor_threads,
                     cfg.backend,
-                    listeners.take().expect("TCP mode binds listeners"),
+                    listeners,
                     weak.clone(),
                     cfg.fault_plan.clone(),
-                )),
+                )
             }),
         });
-        if let Some(listeners) = listeners {
-            // Threaded fabric: the reactor consumed them otherwise.
-            spawn_acceptors(&router, listeners);
-        }
 
         let wren_cfg = WrenConfig {
             n_dcs: cfg.n_dcs,
@@ -884,15 +766,11 @@ impl Cluster {
         &self.addrs
     }
 
-    /// The syscall backend the reactor fabric resolved to — `Epoll`
-    /// when a requested [`Backend::Uring`] was unavailable and fell
-    /// back. `None` in channel mode and for the threaded fabric (which
-    /// has no event loops to back).
+    /// The syscall backend the TCP fabric resolved to — `Epoll` when a
+    /// requested [`Backend::Uring`] was unavailable and fell back.
+    /// `None` in channel mode.
     pub fn tcp_backend(&self) -> Option<Backend> {
-        match self.router.tcp() {
-            Some(Fabric::Reactor(f)) => Some(f.backend()),
-            _ => None,
-        }
+        self.router.tcp().map(ReactorFabric::backend)
     }
 
     /// Inter-server messages the TCP fabric refused to frame (always 0
@@ -960,7 +838,7 @@ impl Cluster {
         let p = (self.next_coordinator.fetch_add(1, Ordering::Relaxed)
             % self.cfg.n_partitions as u32) as u16;
         let coordinator = ServerId::new(dc, p);
-        if self.cfg.tcp.is_some() {
+        if self.cfg.tcp {
             // Same API, real sockets: the session dials its coordinator
             // exactly as a remote process would.
             return Session::tcp(
@@ -1071,13 +949,7 @@ impl Cluster {
             };
             let listener =
                 wren_net::poll::bind_reusable(v4).expect("rebind the partition's address");
-            match fabric {
-                Fabric::Threaded(f) => {
-                    f.revive_server(id);
-                    spawn_acceptors(&self.router, vec![(id, listener)]);
-                }
-                Fabric::Reactor(f) => f.restart_server(id, listener),
-            }
+            fabric.restart_server(id, listener);
         }
         let engine = PartitionEngine::launch(
             id,
@@ -1165,8 +1037,8 @@ impl Drop for Cluster {
         for engine in self.engines.drain(..).flatten() {
             let _ = engine.join();
         }
-        // Then the fabric: acceptors, connection readers and outbox
-        // writers — no socket thread survives either.
+        // Then the fabric's reactor threads — no socket thread
+        // survives either.
         if let Some(fabric) = self.router.tcp() {
             fabric.join_threads();
         }

@@ -174,7 +174,7 @@ impl Session {
     }
 
     /// Whether an error is worth retrying over a fresh connection: the
-    /// TCP fabrics surface a killed (or restarting) coordinator as
+    /// TCP fabric surfaces a killed (or restarting) coordinator as
     /// `Shutdown` (severed socket) or `Unreachable` (dials refused past
     /// their budget). `Timeout` is final — a silent server may have
     /// processed the request, so only idempotent requests may be
@@ -228,6 +228,24 @@ impl Session {
         self.client.abort();
         self.reset_link();
         e
+    }
+
+    /// One request whose reply must pass `expects`, sent once (never
+    /// retried). Both ways of failing — a transport error, or a reply
+    /// that is not the one expected (stale, from an earlier timed-out
+    /// request: the pairing is lost, same as a dead connection) — go
+    /// through [`Self::fail_op`], so no stale reply ever reaches the
+    /// client state machine and the next operation starts clean.
+    fn expect_round_trip(
+        &mut self,
+        msg: WrenMsg,
+        expects: impl Fn(&WrenMsg) -> bool,
+    ) -> Result<WrenMsg, RtError> {
+        match self.round_trip(msg) {
+            Ok(resp) if expects(&resp) => Ok(resp),
+            Ok(_) => Err(self.fail_op(RtError::Shutdown)),
+            Err(e) => Err(self.fail_op(e)),
+        }
     }
 
     /// Starts an interactive transaction (the paper's `START`).
@@ -351,7 +369,10 @@ impl Session {
     /// # Errors
     ///
     /// [`RtError::Timeout`] if a probe gets no reply, or if the new DC
-    /// does not catch up within the session timeout.
+    /// does not catch up within the session timeout; the transport
+    /// errors of [`Self::begin`] if a probe's connection fails. After an
+    /// error no transaction is active, but the session is still
+    /// migrating: call `migrate` again before reading or writing.
     ///
     /// # Panics
     ///
@@ -374,11 +395,18 @@ impl Session {
         loop {
             probes += 1;
             let msg = self.client.start();
-            let resp = self.round_trip(msg)?;
+            let resp = self.expect_round_trip(msg, |m| matches!(m, WrenMsg::StartTxResp { .. }))?;
             self.client.on_start_resp(resp);
             // Tear the probe transaction down either way.
             let msg = self.client.commit();
-            let resp = self.round_trip(msg)?;
+            let WrenMsg::CommitReq { tx, .. } = &msg else {
+                unreachable!("WrenClient::commit requests with CommitReq");
+            };
+            let tx = *tx;
+            let resp = self.expect_round_trip(
+                msg,
+                move |m| matches!(m, WrenMsg::CommitResp { tx: rt, .. } if *rt == tx),
+            )?;
             let _ = self.client.on_commit_resp(resp);
             if self.client.migration_ready() {
                 return Ok(probes);
@@ -426,29 +454,27 @@ impl Session {
         // but is the coordinator's explicit abort verdict for one that
         // shipped writes — remember which we sent.
         let wrote = !writes.is_empty();
-        match self.round_trip(msg) {
-            Ok(WrenMsg::CommitResp { tx: rt, ct }) if rt == tx => {
-                if wrote && ct == Timestamp::ZERO {
-                    // The coordinator aborted the in-doubt round and said
-                    // so; the transaction is over, the link is fine.
-                    self.client.abort();
-                    if let Some(m) = &self.metrics {
-                        m.tx_aborted.inc();
-                    }
-                    return Err(RtError::Aborted);
-                }
-                let ct = self.client.on_commit_resp(WrenMsg::CommitResp { tx: rt, ct });
-                if let Some(m) = &self.metrics {
-                    m.commit_micros.record(started.elapsed().as_micros() as u64);
-                }
-                Ok(ct)
+        let resp = self.expect_round_trip(
+            msg,
+            move |m| matches!(m, WrenMsg::CommitResp { tx: rt, .. } if *rt == tx),
+        )?;
+        let WrenMsg::CommitResp { ct, .. } = resp else {
+            unreachable!("tag-matched as CommitResp");
+        };
+        if wrote && ct == Timestamp::ZERO {
+            // The coordinator aborted the in-doubt round and said so;
+            // the transaction is over, the link is fine.
+            self.client.abort();
+            if let Some(m) = &self.metrics {
+                m.tx_aborted.inc();
             }
-            // A response that is not ours (stale from a timed-out
-            // earlier request): the pairing is lost, same as a dead
-            // connection.
-            Ok(_) => Err(self.fail_op(RtError::Shutdown)),
-            Err(e) => Err(self.fail_op(e)),
+            return Err(RtError::Aborted);
         }
+        let ct = self.client.on_commit_resp(WrenMsg::CommitResp { tx, ct });
+        if let Some(m) = &self.metrics {
+            m.commit_micros.record(started.elapsed().as_micros() as u64);
+        }
+        Ok(ct)
     }
 }
 

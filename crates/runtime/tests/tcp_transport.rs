@@ -137,6 +137,40 @@ fn migrate_over_tcp_redials_and_preserves_session() {
     cluster.stop();
 }
 
+/// A migration whose probe fails must not wedge the session: the probe
+/// transaction is abandoned with the error, so the next `begin` reports
+/// the dead cluster instead of panicking on a transaction the session
+/// still believes active. The channel transport surfaces the silence as
+/// `Timeout`, TCP as refused dials; on both, every call returns.
+#[test]
+fn failed_migrate_leaves_the_session_usable() {
+    for tcp in [false, true] {
+        let mut builder = ClusterBuilder::new()
+            .dcs(2)
+            .partitions(2)
+            .session_timeout(Duration::from_millis(200));
+        if tcp {
+            builder = builder.tcp();
+        }
+        let cluster = builder.build();
+        let mut s = cluster.session(0);
+        cluster.shutdown();
+        let err = s
+            .migrate(ServerId::new(1, 0))
+            .expect_err("a stopped cluster answers no probe");
+        assert!(
+            matches!(
+                err,
+                RtError::Timeout | RtError::Shutdown | RtError::Unreachable(_)
+            ),
+            "tcp={tcp}: unexpected migrate error {err:?}"
+        );
+        assert!(s.begin().is_err(), "tcp={tcp}: the cluster is still down");
+        drop(s);
+        cluster.stop();
+    }
+}
+
 /// The pre-engine configuration (reads inline on the writer thread)
 /// works over TCP too.
 #[test]

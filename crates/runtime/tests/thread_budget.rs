@@ -4,11 +4,6 @@
 //! the thread count of a 2-session one, and the per-connection fds must
 //! be reaped once sessions drop.
 //!
-//! (The threaded fabric intentionally fails this — it spends a reader
-//! thread plus an outbox-writer thread per connection — which is the
-//! reason the reactor exists; see ISSUE 5 / the ROADMAP's "Async/epoll
-//! transport" item.)
-//!
 //! This test lives alone in its file on purpose: `cargo test` runs the
 //! tests of one binary concurrently, and any neighbor would perturb the
 //! process-wide thread and fd counts read from /proc.

@@ -24,13 +24,12 @@
 //!    histograms from the partition engines, socket-boundary counters
 //!    from the fabric, session-op latencies — with tail percentiles,
 //!    Prometheus rendering and per-partition trace rings.
-//! 5. **Measure all three transports** (`wren_harness::run_rt`): the
-//!    same closed-loop workload over channels, reactor TCP and
-//!    threaded TCP. Channel→TCP is the end-to-end price of
+//! 5. **Measure every transport** (`wren_harness::run_rt`): the same
+//!    closed-loop workload over channels and over TCP on each reactor
+//!    backend (epoll, io_uring). Channel→TCP is the end-to-end price of
 //!    serialization plus kernel round-trips — the cost the paper's
-//!    cluster experiments pay on every operation; reactor→threaded is
-//!    the thread-topology difference at the same wire cost, and it
-//!    lives in the tail (p99/p999), which the mean hides.
+//!    cluster experiments pay on every operation; epoll→io_uring is the
+//!    syscall-interface difference at the same wire cost.
 //! 6. **Shut down deterministically**: listeners closed, in-flight
 //!    connections severed, every reactor thread joined. Run it twice;
 //!    `shutdown` is idempotent.
@@ -140,18 +139,18 @@ fn main() {
     cluster.shutdown();
     drop(cluster);
 
-    // --- 5. The transport bill: same closed-loop workload, all three
-    // transports. (Loopback TCP still pays encode + frame + two syscall
-    // crossings per hop; real NICs would add propagation on top.)
+    // --- 5. The transport bill: same closed-loop workload on every
+    // transport. (Loopback TCP still pays encode + frame + two syscall
+    // crossings per hop; real NICs would add propagation on top.) No
+    // p999 column: 4 x 300 samples put it at the third-largest one.
     println!("\nclosed-loop comparison (4 sessions x 300 tx, 1 DC x 4 partitions):");
     println!(
-        "  {:<14} {:>12} {:>10} {:>10} {:>10} {:>10}",
-        "transport", "tx/s", "mean ms", "p50 ms", "p99 ms", "p999 ms"
+        "  {:<14} {:>12} {:>10} {:>10} {:>10}",
+        "transport", "tx/s", "mean ms", "p50 ms", "p99 ms"
     );
     for (name, transport) in [
         ("channel", RtTransport::Channel),
         ("tcp-reactor", RtTransport::Tcp),
-        ("tcp-threaded", RtTransport::TcpThreaded),
         ("tcp-uring", RtTransport::TcpUring),
     ] {
         let result = run_rt(&RtSpec {
@@ -167,13 +166,12 @@ fn main() {
             fsync: None,
         });
         println!(
-            "  {:<14} {:>12.0} {:>10.3} {:>10.3} {:>10.3} {:>10.3}",
+            "  {:<14} {:>12.0} {:>10.3} {:>10.3} {:>10.3}",
             name,
             result.throughput,
             result.mean_latency_ms,
             result.p50_latency_ms,
-            result.p99_latency_ms,
-            result.p999_latency_ms
+            result.p99_latency_ms
         );
     }
 

@@ -253,10 +253,3 @@ fn chaos_run(
 fn chaos_failover_reactor_fabric() {
     chaos_run("reactor", ClusterBuilder::tcp, chaos_seed());
 }
-
-#[test]
-fn chaos_failover_threaded_fabric() {
-    // Offset the seed so the two fabrics see different storms by
-    // default while both remain replayable via CHAOS_SEED.
-    chaos_run("threaded", ClusterBuilder::tcp_threaded, chaos_seed() ^ 1);
-}
